@@ -1,9 +1,6 @@
 package dfl
 
 import (
-	"runtime"
-	"sync"
-
 	"datalife/internal/blockstats"
 	"datalife/internal/iotrace"
 )
@@ -117,92 +114,5 @@ func BuildSaved(st *iotrace.SavedState) *Graph {
 			})
 		}
 	}
-	return g
-}
-
-// BuildParallel constructs the DFL-DAG with worker goroutines, serializing
-// only the vertex/edge insertions (§4.1: "DFL-G construction can be
-// parallelized by ensuring vertex updates are atomic"). Flow statistics —
-// footprints, distances, ratios — are derived concurrently; results are
-// identical to Build.
-func BuildParallel(col *iotrace.Collector) *Graph {
-	g := New()
-	var mu sync.Mutex
-	for _, ti := range col.Tasks() {
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.Lifetime()
-	}
-	flows := col.Flows()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(flows) {
-		workers = len(flows)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *blockstats.FlowStat)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fl := range ch {
-				// Derive statistics outside the lock; mutate under it.
-				type edgeSpec struct {
-					kind EdgeKind
-					p    FlowProps
-				}
-				var specs []edgeSpec
-				if fl.ReadOps > 0 {
-					specs = append(specs, edgeSpec{Consumer, FlowProps{
-						Ops: fl.ReadOps, Volume: fl.ReadBytes,
-						Footprint: fl.Footprint(blockstats.Read),
-						Latency:   fl.ReadTime, MeanDistance: fl.MeanDistance(),
-						ZeroDistFrac:  fl.ZeroDistanceFraction(),
-						SmallDistFrac: fl.SmallDistanceFraction(),
-					}})
-				}
-				if fl.WriteOps > 0 {
-					specs = append(specs, edgeSpec{Producer, FlowProps{
-						Ops: fl.WriteOps, Volume: fl.WriteBytes,
-						Footprint: fl.Footprint(blockstats.Write),
-						Latency:   fl.WriteTime, MeanDistance: fl.MeanDistance(),
-						ZeroDistFrac:  fl.ZeroDistanceFraction(),
-						SmallDistFrac: fl.SmallDistanceFraction(),
-					}})
-				}
-				size, lifetime := fl.FileSize(), fl.FileLifetime()
-
-				mu.Lock()
-				task := g.AddTask(fl.Task)
-				data := g.AddData(fl.File)
-				if size > data.Data.Size {
-					data.Data.Size = size
-				}
-				if lifetime > data.Data.Lifetime {
-					data.Data.Lifetime = lifetime
-				}
-				task.Task.ReadOps += fl.ReadOps
-				task.Task.WriteOps += fl.WriteOps
-				task.Task.InVolume += fl.ReadBytes
-				task.Task.OutVolume += fl.WriteBytes
-				task.Task.ReadLatency += fl.ReadTime
-				task.Task.WriteLatency += fl.WriteTime
-				for _, s := range specs {
-					if s.kind == Consumer {
-						mustEdge(g, data.ID, task.ID, Consumer, s.p)
-					} else {
-						mustEdge(g, task.ID, data.ID, Producer, s.p)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, fl := range flows {
-		ch <- fl
-	}
-	close(ch)
-	wg.Wait()
 	return g
 }

@@ -109,10 +109,6 @@ type SavedState struct {
 	Config blockstats.Config
 	Tasks  []TaskInfo
 	Flows  []SavedFlow
-	// Partial reports that the state was recovered from a journal whose
-	// tail was torn (the run was killed mid-flight): the snapshot is the
-	// last durable one, not necessarily the run's final state.
-	Partial bool
 }
 
 // LoadJSON reads a measurement database written by SaveJSON.

@@ -3,8 +3,8 @@
 // 4-byte little-endian CRC-32 (IEEE) of the payload, then the payload — so a
 // process killed mid-append leaves at most one torn record at the tail. The
 // scanner recovers the longest valid prefix and reports whether the log was
-// cut short, which is what lets a killed measurement run still produce a
-// loadable trace and a killed sweep resume from its last durable row.
+// cut short, which is what lets a killed sweep resume from its last durable
+// row and a killed serve session recover its acknowledged batches.
 package journal
 
 import (

@@ -252,6 +252,12 @@ func TestOverloadSheddingRejectsTyped(t *testing.T) {
 	if err := c.Send(events[:4]); err != nil {
 		t.Fatalf("warmup send: %v", err)
 	}
+	// An ack means journaled, not applied. Wait until the applier has
+	// applied the warmup batch, or it could still hold the only queue slot
+	// while blocked on the lock taken below, and the fill batch would shed.
+	if _, err := c.Query("summary", 1, c.NextSeq()); err != nil {
+		t.Fatalf("warmup query: %v", err)
+	}
 
 	// Stall the applier by holding the session lock, then fill the queue.
 	srv.mu.Lock()
@@ -274,8 +280,12 @@ func TestOverloadSheddingRejectsTyped(t *testing.T) {
 	if err := writeFrame(c.conn, encodeEvents(eventsMsg{FirstSeq: first, Events: events[4:6]})); err != nil {
 		t.Fatalf("fill queue: %v", err)
 	}
-	if _, err := c.readReply(); err != nil {
+	fill, err := c.readReply()
+	if err != nil {
 		t.Fatalf("fill ack: %v", err)
+	}
+	if _, ok := fill.(ackMsg); !ok {
+		t.Fatalf("fill reply = %T (%+v), want ackMsg", fill, fill)
 	}
 	if err := writeFrame(c.conn, encodeEvents(eventsMsg{FirstSeq: first + 2, Events: events[6:8]})); err != nil {
 		t.Fatalf("overflow send: %v", err)

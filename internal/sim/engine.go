@@ -71,20 +71,6 @@ type Engine struct {
 	// Retry tunes the recovery policy when faults are active; zero fields
 	// fall back to faults.DefaultRetryPolicy.
 	Retry faults.RetryPolicy
-	// Workers, when > 1, enables conservative parallel execution: the
-	// workload is partitioned into groups that share no node, tier, file,
-	// or dependency edge, each group runs on its own goroutine with a
-	// private engine, and the Results are merged in canonical group order.
-	// Whenever the partition finds a single component — or a coupling
-	// feature is active (collectors, tracing, custom planners,
-	// checkpointing, node crashes, unpinned tasks) — the run falls back to
-	// the exact serial loop. Per-task and per-tier outputs are always
-	// identical to a serial run; cross-group scalar totals (ComputeTime,
-	// RecoverySeconds) sum the same addends in canonical rather than
-	// chronological order, so they are bit-identical whenever those sums
-	// are exact (e.g. dyadic compute times) and equal to the last ulp
-	// otherwise.
-	Workers int
 	// Checkpoint, when non-nil with a non-empty file list, proactively
 	// copies the listed intermediate files to its durable tier as soon as
 	// a task that wrote them finishes, and the crash-recovery triage
@@ -596,11 +582,6 @@ func (e *Engine) Run(w *Workload) (*Result, error) {
 	}
 	if e.ChunkLatencyEvery <= 0 {
 		e.ChunkLatencyEvery = 1
-	}
-	if e.Workers > 1 {
-		if res, err, ok := e.runParallel(w); ok {
-			return res, err
-		}
 	}
 	e.now = 0
 	e.eq = nil

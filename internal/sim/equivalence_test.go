@@ -37,8 +37,9 @@ func runRepricer(t *testing.T, spec *workflows.Spec, naive bool, sched *faults.S
 // checkEquivalent runs a spec under both repricers and requires identical
 // outcomes — same error (if any) and a deeply equal Result. Every float in
 // the Result is the product of the settle/fair-rate arithmetic, so this is
-// a bitwise check, not an epsilon one.
-func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule) {
+// a bitwise check, not an epsilon one. It returns the incremental Result
+// (nil when both runs failed alike).
+func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule) *sim.Result {
 	t.Helper()
 	inc, incErr := runRepricer(t, spec, false, sched)
 	ref, refErr := runRepricer(t, spec, true, sched)
@@ -49,11 +50,12 @@ func checkEquivalent(t *testing.T, spec *workflows.Spec, sched *faults.Schedule)
 		if incErr.Error() != refErr.Error() {
 			t.Fatalf("%s: error text mismatch:\n  incremental: %v\n  reference:   %v", spec.Name, incErr, refErr)
 		}
-		return
+		return nil
 	}
 	if !reflect.DeepEqual(inc, ref) {
 		t.Fatalf("%s: results diverge:\n  incremental: %+v\n  reference:   %+v", spec.Name, inc, ref)
 	}
+	return inc
 }
 
 // TestReshareEquivalence pits the incremental repricer against the naive
@@ -82,5 +84,19 @@ func TestReshareEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		spec := workflows.StressRandom(workflows.DefaultStressRandomParams(80, 1000+seed))
 		checkEquivalent(t, spec, base.WithSeed(uint64(seed)))
+	}
+
+	// Fault clauses keyed on node-local tiers: transient errors, a slowdown
+	// and an outage, one per shard. Tier names contain '@', which ParseSpec
+	// cannot express, so the schedule is built directly.
+	local := &faults.Schedule{
+		Seed:         7,
+		IOErrorRates: map[string]float64{"ssd@node1": 0.05},
+		Slowdowns:    []faults.Slowdown{{Tier: "ssd@node2", Start: 2, End: 20, Factor: 0.5}},
+		Outages:      []faults.Outage{{Tier: "ssd@node3", Start: 4, End: 6}},
+	}
+	res := checkEquivalent(t, workflows.ShardedChains(workflows.DefaultShardedChainsParams(4, 120)), local)
+	if res == nil || len(res.Failures) == 0 || res.Attempts == nil {
+		t.Fatalf("node-local fault schedule injected no failures: %+v", res)
 	}
 }
