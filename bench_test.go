@@ -258,12 +258,12 @@ func BenchmarkAblation_CollectorThroughput(b *testing.B) {
 }
 
 // BenchmarkAblation_CollectorParallel measures concurrent ingest on the
-// record hot path as it exists after the sharding redesign: each goroutine
-// resolves its flow once through the striped shard map (what Tracer.Open
-// does) and then records through the cached *FlowStat pointer (what
-// Handle.Read/Write do per access). The ownership rule — a FlowStat is only
-// ever mutated by its owning task — is what makes the per-op path lock-free.
-// The seed design instead took one global collector mutex on every access.
+// record hot path: each goroutine resolves its flow once through the
+// collector's locked map (what Tracer.Open does) and then records through
+// the cached *FlowStat pointer (what Handle.Read/Write do per access). The
+// ownership rule — a FlowStat is only ever mutated by its owning task — is
+// what makes the per-op path lock-free. The seed design instead took one
+// global collector mutex on every access.
 func BenchmarkAblation_CollectorParallel(b *testing.B) {
 	col := iotrace.MustCollector(blockstats.DefaultConfig())
 	var next atomic.Int64

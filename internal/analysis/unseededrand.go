@@ -7,7 +7,7 @@ import (
 // UnseededRand forbids the auto-seeded math/rand global source everywhere:
 // fault schedules, workflow generators, and placement decisions must derive
 // every random draw from the run seed (the discipline faults.Schedule sets
-// with its pure splitmix64 hashing), or replays stop being bit-identical.
+// with its pure SplitMix64 hashing), or replays stop being bit-identical.
 // Explicitly seeded generators (rand.New(rand.NewSource(seed))) are fine —
 // determinism comes from the seed — so only package-level draws and Seed
 // calls are flagged, plus cross-package calls into functions whose facts say
@@ -39,7 +39,7 @@ func runUnseededRand(pass *Pass) {
 				}
 				if isGlobalRand(fn) {
 					pass.Reportf(call.Pos(),
-						"auto-seeded rand.%s breaks seeded replay; draw from an explicitly seeded source derived from the run seed (cf. faults.Schedule's splitmix64)",
+						"auto-seeded rand.%s breaks seeded replay; draw from an explicitly seeded source derived from the run seed (cf. faults.Schedule's SplitMix64)",
 						fn.Name())
 					return true
 				}

@@ -70,11 +70,8 @@ func DefaultConfig() Config {
 // Validate checks the histogram configuration invariants: at least one
 // block per file, a positive write block size, and a sampling threshold no
 // larger than its modulus. It is the exported entry point used by the
-// dflcheck pre-run validator; the collector's own entry points run the same
-// check internally.
-func (c Config) Validate() error { return c.validate() }
-
-func (c Config) validate() error {
+// dflcheck pre-run validator and by the collector, once, at construction.
+func (c Config) Validate() error {
 	if c.BlocksPerFile < 1 {
 		return fmt.Errorf("blockstats: BlocksPerFile must be >= 1, got %d", c.BlocksPerFile)
 	}
@@ -95,23 +92,18 @@ func (c Config) samplingRate() float64 {
 	return float64(c.SampleT) / float64(c.SampleP)
 }
 
-// sampled reports whether location (file, block) is tracked under the rule
-// H(L) mod P < T.
-func (c Config) sampled(file string, block int64) bool {
-	if c.SampleP == 0 || c.SampleT >= c.SampleP {
-		return true
-	}
-	return stats.HashLocation(file, block)%c.SampleP < c.SampleT
-}
-
 // BlockStat holds the bounded per-location statistics (the paper bounds the
-// count at roughly ten).
+// count at roughly ten). A location is tracked once it has an access; the
+// zero value is an untracked slot.
 type BlockStat struct {
 	Reads, Writes         uint64
 	ReadBytes, WriteBytes uint64
 	FirstAccess           float64 // virtual seconds
 	LastAccess            float64
 }
+
+// tracked reports whether the location has been accessed.
+func (bs *BlockStat) tracked() bool { return bs.Reads > 0 || bs.Writes > 0 }
 
 // FlowStat is the histogram for one task-file pair: one or two flow relations
 // (producer and/or consumer) plus aggregate statistics.
@@ -130,13 +122,6 @@ type FlowStat struct {
 	capBytes  int64
 	sampleAll bool
 
-	// One-entry block cache: sequential and repeated accesses hit the same
-	// block, so the map lookup is skipped when the last block index repeats.
-	// Invalidated whenever the blocks map is rebuilt or externally mutated
-	// (rescale, merge).
-	cacheIdx int64
-	cacheBS  *BlockStat
-
 	// Aggregate counters (exact, not sampled).
 	ReadOps, WriteOps     uint64
 	ReadBytes, WriteBytes uint64
@@ -152,29 +137,24 @@ type FlowStat struct {
 	ZeroDist  uint64 // consecutive accesses at identical location (temporal locality)
 	SmallDist uint64 // consecutive accesses within one block (spatial locality)
 
-	blocks map[int64]*BlockStat
+	// blocks is the per-location histogram indexed by block number: one
+	// contiguous, pointer-free slot per location, grown to the highest
+	// touched block. Every record keeps fileSize <= capBytes, so the length
+	// never exceeds BlocksPerFile. Untracked slots (unsampled or never
+	// accessed) stay all-zero.
+	blocks []BlockStat
 }
 
-// NewFlowStat creates the histogram for one task-file pair. fileSize may be 0
-// when unknown (e.g. a file about to be produced by writes).
-func NewFlowStat(task, file string, fileSize int64, cfg Config) (*FlowStat, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return FlowStatFor(task, file, fileSize, cfg), nil
-}
-
-// FlowStatFor is the infallible core of NewFlowStat for configurations
-// already checked with Config.Validate — callers that validate once at
-// construction (e.g. a collector) create flows on the record path without a
-// second error check.
+// FlowStatFor creates the histogram for one task-file pair. fileSize may be 0
+// when unknown (e.g. a file about to be produced by writes). cfg must have
+// passed Config.Validate: callers validate once at construction (e.g. a
+// collector) and create flows on the record path without an error check.
 func FlowStatFor(task, file string, fileSize int64, cfg Config) *FlowStat {
 	fs := &FlowStat{
 		Task:     task,
 		File:     file,
 		cfg:      cfg,
 		fileSize: fileSize,
-		blocks:   make(map[int64]*BlockStat),
 	}
 	fs.blockSize = cfg.initialBlockSize(fileSize)
 	fs.capBytes = fs.blockSize * int64(cfg.BlocksPerFile)
@@ -182,8 +162,8 @@ func FlowStatFor(task, file string, fileSize int64, cfg Config) *FlowStat {
 	return fs
 }
 
-// sampledBlock reports whether block b of this file is tracked, using the
-// precomputed no-sampling fast path.
+// sampledBlock reports whether block b of this file is tracked under the rule
+// H(L) mod P < T, using the precomputed no-sampling fast path.
 func (fs *FlowStat) sampledBlock(b int64) bool {
 	return fs.sampleAll || stats.HashLocation(fs.File, b)%fs.cfg.SampleP < fs.cfg.SampleT
 }
@@ -208,7 +188,15 @@ func (fs *FlowStat) BlockSize() int64 { return fs.blockSize }
 func (fs *FlowStat) FileSize() int64 { return fs.fileSize }
 
 // TrackedBlocks returns the number of locations currently in the histogram.
-func (fs *FlowStat) TrackedBlocks() int { return len(fs.blocks) }
+func (fs *FlowStat) TrackedBlocks() int {
+	n := 0
+	for i := range fs.blocks {
+		if fs.blocks[i].tracked() {
+			n++
+		}
+	}
+	return n
+}
 
 // RecordOpen notes an open at virtual time t.
 func (fs *FlowStat) RecordOpen(t float64) {
@@ -292,21 +280,17 @@ func (fs *FlowStat) RecordAccess(kind OpKind, off, n int64, t, dt float64) {
 }
 
 // bumpBlock folds cnt accesses totalling bytes into block b, with first/last
-// access times tFirst/tLast. It routes through the one-entry block cache and
-// applies the sampling rule on miss.
+// access times tFirst/tLast. The sampling rule is consulted only for a
+// location not yet tracked; a new location's window starts at [tFirst, 0].
 func (fs *FlowStat) bumpBlock(b int64, kind OpKind, cnt, bytes uint64, tFirst, tLast float64) {
-	bs := fs.cacheBS
-	if bs == nil || fs.cacheIdx != b {
+	if b >= int64(len(fs.blocks)) || !fs.blocks[b].tracked() {
 		if !fs.sampledBlock(b) {
 			return
 		}
-		bs = fs.blocks[b]
-		if bs == nil {
-			bs = &BlockStat{FirstAccess: tFirst}
-			fs.blocks[b] = bs
-		}
-		fs.cacheIdx, fs.cacheBS = b, bs
+		fs.cover(b)
+		fs.blocks[b].FirstAccess = tFirst
 	}
+	bs := &fs.blocks[b]
 	switch kind {
 	case Read:
 		bs.Reads += cnt
@@ -323,133 +307,84 @@ func (fs *FlowStat) bumpBlock(b int64, kind OpKind, cnt, bytes uint64, tFirst, t
 	}
 }
 
+// foldInto merges the stats src of one location into block b: counts and
+// bytes add and the access window widens. An untracked b takes src as is,
+// if the sampling rule keeps b; an untracked src changes nothing.
+func (fs *FlowStat) foldInto(b int64, src BlockStat) {
+	if !src.tracked() {
+		return
+	}
+	if b >= int64(len(fs.blocks)) || !fs.blocks[b].tracked() {
+		if fs.sampledBlock(b) {
+			fs.cover(b)
+			fs.blocks[b] = src
+		}
+		return
+	}
+	dst := &fs.blocks[b]
+	dst.Reads += src.Reads
+	dst.Writes += src.Writes
+	dst.ReadBytes += src.ReadBytes
+	dst.WriteBytes += src.WriteBytes
+	if src.FirstAccess < dst.FirstAccess {
+		dst.FirstAccess = src.FirstAccess
+	}
+	if src.LastAccess > dst.LastAccess {
+		dst.LastAccess = src.LastAccess
+	}
+}
+
+// cover grows the histogram with untracked slots up to block b.
+func (fs *FlowStat) cover(b int64) {
+	if n := int(b) + 1; n > len(fs.blocks) {
+		fs.blocks = append(fs.blocks, make([]BlockStat, n-len(fs.blocks))...)
+	}
+}
+
 // rescaleIfNeeded doubles the block size and folds histogram bins whenever the
 // observed file extent would need more than BlocksPerFile locations. This is
 // the paper's "adjustable access resolution" for growing (written) files.
+// Bins fold in place, in ascending order: slot b is read and cleared before
+// anything folds into it (its sources 2b and 2b+1 come later), so the
+// dropped upper half ends all-zero.
 func (fs *FlowStat) rescaleIfNeeded() {
 	for fs.fileSize > fs.capBytes {
 		fs.blockSize *= 2
 		fs.capBytes *= 2
-		fs.cacheIdx, fs.cacheBS = 0, nil // block indices are renumbered
-		folded := make(map[int64]*BlockStat, len(fs.blocks))
-		for b, bs := range fs.blocks {
-			nb := b / 2
+		for b := range fs.blocks {
+			src := fs.blocks[b]
+			fs.blocks[b] = BlockStat{}
 			// A folded location survives only if the sampling rule keeps it
 			// at the new resolution, preserving determinism across rescales.
-			if !fs.sampledBlock(nb) {
-				continue
-			}
-			dst := folded[nb]
-			if dst == nil {
-				cp := *bs
-				folded[nb] = &cp
-				continue
-			}
-			dst.Reads += bs.Reads
-			dst.Writes += bs.Writes
-			dst.ReadBytes += bs.ReadBytes
-			dst.WriteBytes += bs.WriteBytes
-			if bs.FirstAccess < dst.FirstAccess {
-				dst.FirstAccess = bs.FirstAccess
-			}
-			if bs.LastAccess > dst.LastAccess {
-				dst.LastAccess = bs.LastAccess
-			}
+			fs.foldInto(int64(b/2), src)
 		}
-		fs.blocks = folded
+		fs.blocks = fs.blocks[:(len(fs.blocks)+1)/2]
 	}
 }
-
-// Volume returns total (non-unique) bytes moved in the given direction.
-func (fs *FlowStat) Volume(kind OpKind) uint64 {
-	if kind == Read {
-		return fs.ReadBytes
-	}
-	return fs.WriteBytes
-}
-
-// TotalVolume returns read+write bytes.
-func (fs *FlowStat) TotalVolume() uint64 { return fs.ReadBytes + fs.WriteBytes }
 
 // Footprint estimates the unique bytes touched in the given direction from
 // the sampled per-block histogram, scaled by 1/r and capped at the file size.
 func (fs *FlowStat) Footprint(kind OpKind) uint64 {
 	var blocks int64
-	for _, bs := range fs.blocks {
-		if (kind == Read && bs.Reads > 0) || (kind == Write && bs.Writes > 0) {
+	for i := range fs.blocks {
+		if bs := &fs.blocks[i]; (kind == Read && bs.Reads > 0) || (kind == Write && bs.Writes > 0) {
 			blocks++
 		}
 	}
-	r := fs.cfg.samplingRate()
-	est := int64(math.Round(float64(blocks) / r * float64(fs.blockSize)))
-	if fs.fileSize > 0 && est > fs.fileSize {
-		est = fs.fileSize
-	}
-	return uint64(est)
+	return fs.estimate(blocks)
 }
 
 // TotalFootprint estimates unique bytes touched by either direction.
-func (fs *FlowStat) TotalFootprint() uint64 {
-	var blocks int64
-	for _, bs := range fs.blocks {
-		if bs.Reads > 0 || bs.Writes > 0 {
-			blocks++
-		}
-	}
-	r := fs.cfg.samplingRate()
-	est := int64(math.Round(float64(blocks) / r * float64(fs.blockSize)))
+func (fs *FlowStat) TotalFootprint() uint64 { return fs.estimate(int64(fs.TrackedBlocks())) }
+
+// estimate scales a count of tracked blocks to bytes: by 1/r for sampling and
+// by the block size, capped at the file size.
+func (fs *FlowStat) estimate(blocks int64) uint64 {
+	est := int64(math.Round(float64(blocks) / fs.cfg.samplingRate() * float64(fs.blockSize)))
 	if fs.fileSize > 0 && est > fs.fileSize {
 		est = fs.fileSize
 	}
 	return uint64(est)
-}
-
-// ReuseFactor is volume/footprint in the given direction; 1.0 means every
-// byte touched once, >1 indicates reuse (§4.2 "reuse and subsets").
-func (fs *FlowStat) ReuseFactor(kind OpKind) float64 {
-	fp := fs.Footprint(kind)
-	if fp == 0 {
-		return 0
-	}
-	return float64(fs.Volume(kind)) / float64(fp)
-}
-
-// MeanDistance is the mean consecutive access ("seek") distance in bytes.
-func (fs *FlowStat) MeanDistance() float64 {
-	if fs.DistN == 0 {
-		return 0
-	}
-	return fs.DistSum / float64(fs.DistN)
-}
-
-// ZeroDistanceFraction is the fraction of consecutive accesses with distance
-// zero — pure sequential/temporal locality.
-func (fs *FlowStat) ZeroDistanceFraction() float64 {
-	if fs.DistN == 0 {
-		return 0
-	}
-	return float64(fs.ZeroDist) / float64(fs.DistN)
-}
-
-// SmallDistanceFraction is the fraction of consecutive accesses within one
-// block — the paper's spatial-locality indicator (distance < block size).
-func (fs *FlowStat) SmallDistanceFraction() float64 {
-	if fs.DistN == 0 {
-		return 0
-	}
-	return float64(fs.SmallDist) / float64(fs.DistN)
-}
-
-// FileLifetime is the open-to-close lifetime in virtual seconds.
-func (fs *FlowStat) FileLifetime() float64 {
-	if fs.Opens == 0 {
-		return 0
-	}
-	lt := fs.CloseTime - fs.OpenTime
-	if lt < 0 {
-		return 0
-	}
-	return lt
 }
 
 // HotBlocks returns up to n block indices ordered by descending access count,
@@ -459,9 +394,11 @@ func (fs *FlowStat) HotBlocks(n int) []int64 {
 		b int64
 		c uint64
 	}
-	all := make([]bc, 0, len(fs.blocks))
-	for b, bs := range fs.blocks {
-		all = append(all, bc{b, uint64(bs.Reads) + uint64(bs.Writes)})
+	var all []bc
+	for b := range fs.blocks {
+		if bs := &fs.blocks[b]; bs.tracked() {
+			all = append(all, bc{int64(b), bs.Reads + bs.Writes})
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
@@ -479,21 +416,28 @@ func (fs *FlowStat) HotBlocks(n int) []int64 {
 	return out
 }
 
-// Block returns the statistics for block b, or nil if untracked.
-func (fs *FlowStat) Block(b int64) *BlockStat { return fs.blocks[b] }
+// Block returns the statistics for block b, or nil if untracked. The pointer
+// is valid until the next record or merge.
+func (fs *FlowStat) Block(b int64) *BlockStat {
+	if b < 0 || b >= int64(len(fs.blocks)) || !fs.blocks[b].tracked() {
+		return nil
+	}
+	return &fs.blocks[b]
+}
 
 // Blocks returns tracked block indices in ascending order.
 func (fs *FlowStat) Blocks() []int64 {
-	out := make([]int64, 0, len(fs.blocks))
+	var out []int64
 	for b := range fs.blocks {
-		out = append(out, b)
+		if fs.blocks[b].tracked() {
+			out = append(out, int64(b))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 func (fs *FlowStat) String() string {
 	return fmt.Sprintf("flow{%s<->%s rd=%dB/%dops wr=%dB/%dops fp=%dB blocks=%d}",
 		fs.Task, fs.File, fs.ReadBytes, fs.ReadOps, fs.WriteBytes, fs.WriteOps,
-		fs.TotalFootprint(), len(fs.blocks))
+		fs.TotalFootprint(), fs.TrackedBlocks())
 }

@@ -1,18 +1,16 @@
 package blockstats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
 
 func mustFlow(t *testing.T, task, file string, size int64, cfg Config) *FlowStat {
 	t.Helper()
-	fs, err := NewFlowStat(task, file, size, cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return FlowStatFor(task, file, size, cfg)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -27,7 +25,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{BlocksPerFile: 1, WriteBlockSize: 1, SampleP: 10, SampleT: 10}, true},
 	}
 	for i, c := range cases {
-		err := c.cfg.validate()
+		err := c.cfg.Validate()
 		if (err == nil) != c.ok {
 			t.Errorf("case %d: validate() = %v, ok=%v", i, err, c.ok)
 		}
@@ -61,8 +59,8 @@ func TestRecordAccessAggregates(t *testing.T) {
 	if fs.ReadTime != 0.75 || fs.WriteTime != 0.1 {
 		t.Errorf("latency: rd=%v wr=%v", fs.ReadTime, fs.WriteTime)
 	}
-	if fs.TotalVolume() != 250 {
-		t.Errorf("TotalVolume = %d", fs.TotalVolume())
+	if fs.ReadBytes+fs.WriteBytes != 250 {
+		t.Errorf("total volume = %d", fs.ReadBytes+fs.WriteBytes)
 	}
 }
 
@@ -82,14 +80,11 @@ func TestFootprintVsVolume(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fs.RecordAccess(Read, 0, 100, float64(i), 0.1)
 	}
-	if got := fs.Volume(Read); got != 500 {
-		t.Errorf("Volume = %d, want 500", got)
+	if got := fs.ReadBytes; got != 500 {
+		t.Errorf("ReadBytes = %d, want 500", got)
 	}
 	if got := fs.Footprint(Read); got != 100 {
 		t.Errorf("Footprint = %d, want 100", got)
-	}
-	if got := fs.ReuseFactor(Read); got != 5 {
-		t.Errorf("ReuseFactor = %v, want 5", got)
 	}
 }
 
@@ -113,11 +108,8 @@ func TestConsecutiveDistance(t *testing.T) {
 	if fs.ZeroDist != 1 {
 		t.Errorf("ZeroDist = %d, want 1", fs.ZeroDist)
 	}
-	if got := fs.MeanDistance(); got != 150 {
-		t.Errorf("MeanDistance = %v, want 150", got)
-	}
-	if got := fs.ZeroDistanceFraction(); got != 0.5 {
-		t.Errorf("ZeroDistanceFraction = %v, want 0.5", got)
+	if fs.DistSum != 300 {
+		t.Errorf("DistSum = %v, want 300", fs.DistSum)
 	}
 }
 
@@ -127,22 +119,20 @@ func TestSmallDistanceFraction(t *testing.T) {
 	fs.RecordAccess(Read, 0, 10, 0, 0)
 	fs.RecordAccess(Read, 50, 10, 1, 0)  // distance 40 < 100
 	fs.RecordAccess(Read, 900, 10, 2, 0) // distance 840 >= 100
-	if got := fs.SmallDistanceFraction(); got != 0.5 {
-		t.Errorf("SmallDistanceFraction = %v, want 0.5", got)
+	if fs.SmallDist != 1 || fs.DistN != 2 {
+		t.Errorf("SmallDist/DistN = %d/%d, want 1/2", fs.SmallDist, fs.DistN)
 	}
 }
 
 func TestOpenCloseLifetime(t *testing.T) {
 	fs := mustFlow(t, "t", "f", 100, DefaultConfig())
-	if fs.FileLifetime() != 0 {
-		t.Fatal("lifetime before open should be 0")
-	}
 	fs.RecordOpen(10)
 	fs.RecordClose(25)
 	fs.RecordOpen(30)
 	fs.RecordClose(40)
-	if got := fs.FileLifetime(); got != 30 {
-		t.Errorf("FileLifetime = %v, want 30 (first open to last close)", got)
+	if fs.OpenTime != 10 || fs.CloseTime != 40 {
+		t.Errorf("open/close window = [%v, %v], want [10, 40] (first open to last close)",
+			fs.OpenTime, fs.CloseTime)
 	}
 	if fs.Opens != 2 || fs.Closes != 2 {
 		t.Errorf("open/close counts: %d/%d", fs.Opens, fs.Closes)
@@ -157,7 +147,7 @@ func TestConstantSpaceUnderManyOps(t *testing.T) {
 		off := int64(i*7919) % (1 << 20)
 		fs.RecordAccess(Read, off, 512, float64(i), 0.001)
 	}
-	if fs.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if fs.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked blocks = %d, exceeds bound %d", fs.TrackedBlocks(), cfg.BlocksPerFile)
 	}
 }
@@ -172,7 +162,7 @@ func TestConstantSpaceUnderGrowingFile(t *testing.T) {
 		fs.RecordAccess(Write, off, 128, float64(i), 0.001)
 		off += 128
 	}
-	if fs.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if fs.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked blocks = %d, exceeds bound %d", fs.TrackedBlocks(), cfg.BlocksPerFile)
 	}
 	if fs.FileSize() != 128*10000 {
@@ -290,10 +280,7 @@ func TestQuickFootprintBounded(t *testing.T) {
 	// n/blockSize+2 blocks), and tracking stays within the constant bound.
 	cfg := Config{BlocksPerFile: 32, WriteBlockSize: 16}
 	f := func(offs []uint16, lens []uint8) bool {
-		fs, err := NewFlowStat("t", "f", 1<<16, cfg)
-		if err != nil {
-			return false
-		}
+		fs := FlowStatFor("t", "f", 1<<16, cfg)
 		var blockBound int64
 		for i, o := range offs {
 			n := int64(1)
@@ -304,7 +291,7 @@ func TestQuickFootprintBounded(t *testing.T) {
 			blockBound += n/fs.BlockSize() + 2
 		}
 		return int64(fs.Footprint(Read)) <= blockBound*fs.BlockSize() &&
-			fs.TrackedBlocks() <= cfg.BlocksPerFile+1
+			fs.TrackedBlocks() <= cfg.BlocksPerFile
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -316,10 +303,7 @@ func TestQuickFootprintMonotone(t *testing.T) {
 	// no rescale since file size fixed).
 	cfg := Config{BlocksPerFile: 64, WriteBlockSize: 16}
 	f := func(offs []uint16) bool {
-		fs, err := NewFlowStat("t", "f", 1<<16, cfg)
-		if err != nil {
-			return false
-		}
+		fs := FlowStatFor("t", "f", 1<<16, cfg)
 		prev := uint64(0)
 		for i, o := range offs {
 			fs.RecordAccess(Read, int64(o), 64, float64(i), 0)
@@ -338,11 +322,11 @@ func TestQuickFootprintMonotone(t *testing.T) {
 
 func TestReuseFactorEmptyFlow(t *testing.T) {
 	fs := mustFlow(t, "t", "f", 100, DefaultConfig())
-	if got := fs.ReuseFactor(Read); got != 0 {
-		t.Fatalf("ReuseFactor on empty flow = %v, want 0", got)
+	if got := fs.Footprint(Read); got != 0 {
+		t.Fatalf("Footprint on empty flow = %v, want 0", got)
 	}
-	if math.IsNaN(fs.MeanDistance()) {
-		t.Fatal("MeanDistance NaN on empty flow")
+	if fs.DistN != 0 || fs.TrackedBlocks() != 0 {
+		t.Fatalf("empty flow has %d distance samples, %d blocks", fs.DistN, fs.TrackedBlocks())
 	}
 }
 
@@ -380,8 +364,8 @@ func TestMergeAggregates(t *testing.T) {
 		t.Fatalf("latency: rd=%v wr=%v", a.ReadTime, a.WriteTime)
 	}
 	// Lifetime spans both collectors' windows.
-	if a.FileLifetime() != 6 {
-		t.Fatalf("lifetime = %v", a.FileLifetime())
+	if a.OpenTime != 0 || a.CloseTime != 6 {
+		t.Fatalf("open/close window = [%v, %v], want [0, 6]", a.OpenTime, a.CloseTime)
 	}
 	// Footprint counts distinct regions from both.
 	if fp := a.Footprint(Read); fp != 800 {
@@ -417,7 +401,7 @@ func TestMergeDifferentBlockSizes(t *testing.T) {
 	if a.BlockSize() < 800 {
 		t.Fatalf("merged block size = %d, want >= 800", a.BlockSize())
 	}
-	if a.TrackedBlocks() > cfg.BlocksPerFile+1 {
+	if a.TrackedBlocks() > cfg.BlocksPerFile {
 		t.Fatalf("tracked = %d exceeds bound", a.TrackedBlocks())
 	}
 	if a.ReadBytes != 7200 {
@@ -438,9 +422,9 @@ func TestQuickMergeEquivalentToSingle(t *testing.T) {
 			return true
 		}
 		k := int(split) % len(offs)
-		one, _ := NewFlowStat("t", "f", 1<<16, cfg)
-		a, _ := NewFlowStat("t", "f", 1<<16, cfg)
-		b, _ := NewFlowStat("t", "f", 1<<16, cfg)
+		one := FlowStatFor("t", "f", 1<<16, cfg)
+		a := FlowStatFor("t", "f", 1<<16, cfg)
+		b := FlowStatFor("t", "f", 1<<16, cfg)
 		for i, o := range offs {
 			one.RecordAccess(Read, int64(o), 64, float64(i), 0.01)
 			if i < k {

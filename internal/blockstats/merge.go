@@ -49,29 +49,8 @@ func (fs *FlowStat) Merge(other *FlowStat) error {
 	for fs.blockSize < other.blockSize {
 		fs.forceRescale()
 	}
-	ratio := other.blockSize         // bytes per source block
-	fs.cacheIdx, fs.cacheBS = 0, nil // direct map mutation below
 	for b, bs := range other.blocks {
-		nb := (b * ratio) / fs.blockSize
-		if !fs.sampledBlock(nb) {
-			continue
-		}
-		dst := fs.blocks[nb]
-		if dst == nil {
-			cp := *bs
-			fs.blocks[nb] = &cp
-			continue
-		}
-		dst.Reads += bs.Reads
-		dst.Writes += bs.Writes
-		dst.ReadBytes += bs.ReadBytes
-		dst.WriteBytes += bs.WriteBytes
-		if bs.FirstAccess < dst.FirstAccess {
-			dst.FirstAccess = bs.FirstAccess
-		}
-		if bs.LastAccess > dst.LastAccess {
-			dst.LastAccess = bs.LastAccess
-		}
+		fs.foldInto(int64(b)*other.blockSize/fs.blockSize, bs)
 	}
 	fs.rescaleIfNeeded()
 	return nil

@@ -1,9 +1,6 @@
 package dfl
 
-import (
-	"datalife/internal/blockstats"
-	"datalife/internal/iotrace"
-)
+import "datalife/internal/iotrace"
 
 // Build constructs a DFL-DAG from collector measurements (§4.1): since each
 // histogram captures one or two flow relations, the graph is built simply by
@@ -12,66 +9,13 @@ import (
 func Build(col *iotrace.Collector) *Graph {
 	g := New()
 	for _, ti := range col.Tasks() {
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.Lifetime()
+		g.AddTask(ti.Name).Task.Lifetime = ti.Lifetime()
 	}
 	for _, fl := range col.Flows() {
-		addFlow(g, fl)
+		sf := iotrace.Summarize(fl)
+		addFlow(g, &sf)
 	}
 	return g
-}
-
-// addFlow converts one task-file histogram into its producer and/or consumer
-// edges and folds its aggregates into the endpoint vertices.
-func addFlow(g *Graph, fl *blockstats.FlowStat) {
-	task := g.AddTask(fl.Task)
-	data := g.AddData(fl.File)
-
-	if fl.FileSize() > data.Data.Size {
-		data.Data.Size = fl.FileSize()
-	}
-	if lt := fl.FileLifetime(); lt > data.Data.Lifetime {
-		data.Data.Lifetime = lt
-	}
-
-	task.Task.ReadOps += fl.ReadOps
-	task.Task.WriteOps += fl.WriteOps
-	task.Task.InVolume += fl.ReadBytes
-	task.Task.OutVolume += fl.WriteBytes
-	task.Task.ReadLatency += fl.ReadTime
-	task.Task.WriteLatency += fl.WriteTime
-
-	if fl.ReadOps > 0 {
-		// Consumer relation: data → task.
-		mustEdge(g, data.ID, task.ID, Consumer, FlowProps{
-			Ops:           fl.ReadOps,
-			Volume:        fl.ReadBytes,
-			Footprint:     fl.Footprint(blockstats.Read),
-			Latency:       fl.ReadTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		})
-	}
-	if fl.WriteOps > 0 {
-		// Producer relation: task → data.
-		mustEdge(g, task.ID, data.ID, Producer, FlowProps{
-			Ops:           fl.WriteOps,
-			Volume:        fl.WriteBytes,
-			Footprint:     fl.Footprint(blockstats.Write),
-			Latency:       fl.WriteTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		})
-	}
-}
-
-// mustEdge adds an edge whose direction is known correct by construction.
-func mustEdge(g *Graph, src, dst ID, kind EdgeKind, p FlowProps) {
-	if _, err := g.AddEdge(src, dst, kind, p); err != nil {
-		panic(err) // unreachable: directions are fixed above
-	}
 }
 
 // BuildSaved reconstructs a DFL-DAG from a persisted measurement database
@@ -80,39 +24,65 @@ func mustEdge(g *Graph, src, dst ID, kind EdgeKind, p FlowProps) {
 func BuildSaved(st *iotrace.SavedState) *Graph {
 	g := New()
 	for i := range st.Tasks {
-		ti := &st.Tasks[i]
-		v := g.AddTask(ti.Name)
-		v.Task.Lifetime = ti.End - ti.Start
+		g.AddTask(st.Tasks[i].Name).Task.Lifetime = st.Tasks[i].Lifetime()
 	}
-	for _, sf := range st.Flows {
-		task := g.AddTask(sf.Task)
-		data := g.AddData(sf.File)
-		if sf.FileSize > data.Data.Size {
-			data.Data.Size = sf.FileSize
-		}
-		if sf.FileLifetime > data.Data.Lifetime {
-			data.Data.Lifetime = sf.FileLifetime
-		}
-		task.Task.ReadOps += sf.ReadOps
-		task.Task.WriteOps += sf.WriteOps
-		task.Task.InVolume += sf.ReadBytes
-		task.Task.OutVolume += sf.WriteBytes
-		task.Task.ReadLatency += sf.ReadTime
-		task.Task.WriteLatency += sf.WriteTime
-		if sf.ReadOps > 0 {
-			mustEdge(g, data.ID, task.ID, Consumer, FlowProps{
-				Ops: sf.ReadOps, Volume: sf.ReadBytes, Footprint: sf.ReadFootprint,
-				Latency: sf.ReadTime, MeanDistance: sf.MeanDistance,
-				ZeroDistFrac: sf.ZeroDistFrac, SmallDistFrac: sf.SmallDistFrac,
-			})
-		}
-		if sf.WriteOps > 0 {
-			mustEdge(g, task.ID, data.ID, Producer, FlowProps{
-				Ops: sf.WriteOps, Volume: sf.WriteBytes, Footprint: sf.WriteFootprint,
-				Latency: sf.WriteTime, MeanDistance: sf.MeanDistance,
-				ZeroDistFrac: sf.ZeroDistFrac, SmallDistFrac: sf.SmallDistFrac,
-			})
-		}
+	for i := range st.Flows {
+		addFlow(g, &st.Flows[i])
 	}
 	return g
+}
+
+// addFlow adds one task-file flow's consumer and/or producer edges, in that
+// order, and folds its aggregates into the endpoint vertices.
+func addFlow(g *Graph, sf *iotrace.SavedFlow) {
+	g.AddTask(sf.Task).Task.AddFlow(sf)
+	g.AddData(sf.File).Data.AddFlow(sf)
+	for _, kind := range [...]EdgeKind{Consumer, Producer} {
+		if src, dst, p, ok := FlowEdge(sf, kind); ok {
+			mustEdge(g, src, dst, kind, p)
+		}
+	}
+}
+
+// mustEdge adds an edge whose direction is known correct by construction.
+func mustEdge(g *Graph, src, dst ID, kind EdgeKind, p FlowProps) {
+	if _, err := g.AddEdge(src, dst, kind, p); err != nil {
+		panic(err) // unreachable: directions are fixed by the caller
+	}
+}
+
+// FlowEdge derives one edge of a task-file flow: the consumer edge (data →
+// task) from its reads, or the producer edge (task → data) from its writes.
+// ok is false when the flow has no ops in that direction, and so no edge.
+func FlowEdge(sf *iotrace.SavedFlow, kind EdgeKind) (src, dst ID, p FlowProps, ok bool) {
+	p = FlowProps{
+		MeanDistance:  sf.MeanDistance,
+		ZeroDistFrac:  sf.ZeroDistFrac,
+		SmallDistFrac: sf.SmallDistFrac,
+	}
+	task, data := TaskID(sf.Task), DataID(sf.File)
+	if kind == Consumer {
+		p.Ops, p.Volume, p.Footprint, p.Latency = sf.ReadOps, sf.ReadBytes, sf.ReadFootprint, sf.ReadTime
+		return data, task, p, sf.ReadOps > 0
+	}
+	p.Ops, p.Volume, p.Footprint, p.Latency = sf.WriteOps, sf.WriteBytes, sf.WriteFootprint, sf.WriteTime
+	return task, data, p, sf.WriteOps > 0
+}
+
+// AddFlow folds one flow of the task into its properties: operation counts,
+// volumes and blocking latencies add up.
+func (p *TaskProps) AddFlow(sf *iotrace.SavedFlow) {
+	p.ReadOps += sf.ReadOps
+	p.WriteOps += sf.WriteOps
+	p.InVolume += sf.ReadBytes
+	p.OutVolume += sf.WriteBytes
+	p.ReadLatency += sf.ReadTime
+	p.WriteLatency += sf.WriteTime
+}
+
+// AddFlow folds one flow of the file into its properties: size and lifetime
+// are maxima over the flows.
+func (p *DataProps) AddFlow(sf *iotrace.SavedFlow) {
+	p.Size = max(p.Size, sf.FileSize)
+	p.Lifetime = max(p.Lifetime, sf.FileLifetime)
 }

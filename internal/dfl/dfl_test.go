@@ -498,6 +498,10 @@ func TestBuildSavedMatchesBuild(t *testing.T) {
 	h.Write(5000)
 	h.Close()
 	col.TaskEnded("p", clk.Now())
+	// Tasks caught mid-run: one started and never ended, one whose start
+	// was never seen. Both have lifetime 0 until both ends are known.
+	col.TaskStarted("running", 5)
+	col.TaskEnded("unstarted", 7)
 
 	direct := Build(col)
 
@@ -519,8 +523,13 @@ func TestBuildSavedMatchesBuild(t *testing.T) {
 	if le == nil || le.Props.Volume != de.Props.Volume || le.Props.Footprint != de.Props.Footprint {
 		t.Fatalf("edge props differ: %+v vs %+v", le, de)
 	}
-	if loaded.Vertex(TaskID("p")).Task.Lifetime != direct.Vertex(TaskID("p")).Task.Lifetime {
-		t.Fatal("lifetime differs")
+	for _, task := range []string{"p", "running", "unstarted"} {
+		if got, want := loaded.Vertex(TaskID(task)).Task.Lifetime, direct.Vertex(TaskID(task)).Task.Lifetime; got != want {
+			t.Errorf("task %s lifetime: saved %v, direct %v", task, got, want)
+		}
+	}
+	if got, want := loaded.Fingerprint(), direct.Fingerprint(); got != want {
+		t.Fatalf("fingerprint: saved %#016x, direct %#016x", got, want)
 	}
 }
 

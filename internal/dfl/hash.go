@@ -40,10 +40,10 @@ func (h *hasher) id(id ID) {
 	h.str(id.Name)
 }
 
-// fmix64 is the splitmix64/MurmurHash3 finalizer: a cheap bijective mixer
+// finalize64 is the SplitMix64/MurmurHash3 finalizer: a cheap bijective mixer
 // that spreads per-item FNV hashes over the full 64-bit space before they are
 // summed, so the multiset combination below stays collision-resistant.
-func fmix64(x uint64) uint64 {
+func finalize64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -75,7 +75,7 @@ func vertexHash(v *Vertex) uint64 {
 		h.f64(p.Lifetime)
 		h.u64(uint64(p.Instances))
 	}
-	return fmix64(uint64(h))
+	return finalize64(uint64(h))
 }
 
 // edgeHash is the content hash of one edge: endpoints, kind, and flow
@@ -94,7 +94,7 @@ func edgeHash(e *Edge) uint64 {
 	h.f64(p.ZeroDistFrac)
 	h.f64(p.SmallDistFrac)
 	h.u64(uint64(p.Samples))
-	return fmix64(uint64(h))
+	return finalize64(uint64(h))
 }
 
 // combineFingerprint folds the multiset sums and the set sizes into the final
@@ -109,7 +109,7 @@ func combineFingerprint(nVerts, nEdges int, vertSum, edgeSum uint64) uint64 {
 	h.u64(vertSum)
 	h.u64(uint64(nEdges))
 	h.u64(edgeSum)
-	return fmix64(uint64(h))
+	return finalize64(uint64(h))
 }
 
 // fingerprintSums computes the multiset vertex/edge hash sums of a snapshot

@@ -635,7 +635,7 @@ func PartitionProbability(cutsPerHour, windowSeconds float64) float64 {
 	return CrashProbability(cutsPerHour, windowSeconds)
 }
 
-// mix is the splitmix64 finalizer: a full-avalanche 64-bit mixer.
+// mix is the SplitMix64 finalizer: a full-avalanche 64-bit mixer.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -64,7 +64,7 @@ func FuzzHandleOps(f *testing.F) {
 			t.Fatalf("collector counted %d bytes, ops could move at most %d",
 				fl.ReadBytes+fl.WriteBytes, maxMoved)
 		}
-		if fl.TrackedBlocks() > 9 {
+		if fl.TrackedBlocks() > 8 {
 			t.Fatalf("histogram grew to %d blocks", fl.TrackedBlocks())
 		}
 	})

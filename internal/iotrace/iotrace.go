@@ -101,85 +101,48 @@ func (TierCost) MetaCost(tier *vfs.Tier) float64 {
 type TaskInfo struct {
 	Name       string
 	Start, End float64
-	started    bool
-	ended      bool
+	hasStart   bool
+	hasEnd     bool
 }
 
-// Lifetime returns the task execution time in seconds.
+// Lifetime returns the task execution time in seconds, or 0 until both the
+// start and the end have been observed.
 func (ti *TaskInfo) Lifetime() float64 {
-	if !ti.started || !ti.ended {
+	if !ti.hasStart || !ti.hasEnd {
 		return 0
 	}
 	return ti.End - ti.Start
 }
 
+// started folds in a start at t: the earliest start wins.
+func (ti *TaskInfo) started(t float64) {
+	if !ti.hasStart || t < ti.Start {
+		ti.Start, ti.hasStart = t, true
+	}
+}
+
+// ended folds in an end at t: the latest end wins.
+func (ti *TaskInfo) ended(t float64) {
+	if !ti.hasEnd || t > ti.End {
+		ti.End, ti.hasEnd = t, true
+	}
+}
+
 type flowKey struct{ task, file string }
 
-// numShards is the collector's lock-stripe count. Task-file pairs hash onto
-// shards, so concurrent tasks contend only when their flows land on the same
-// stripe (1/64 of the time for unrelated keys). A power of two keeps the
-// index a mask; 64 stripes saturate well past the core counts the simulator
-// drives while costing ~4 KiB per collector.
-const numShards = 64
+// Collector accumulates one FlowStat per task-file pair plus task lifetimes.
+// It is safe for concurrent use: one mutex guards map membership. Recording
+// rarely takes it — the simulator engine is single-threaded, serve applies
+// events under its session lock, and a Handle resolves its flow once at open
+// and records through the cached *FlowStat (see description) — so striping
+// the maps would buy nothing. Aggregation (Flows, Tasks, SaveJSON) happens
+// only at read time.
+type Collector struct {
+	cfg blockstats.Config
 
-// collectorShard is one lock stripe: a mutex plus the slices of the flow and
-// task maps that hash onto it. The trailing pad keeps adjacent shards on
-// separate cache lines so uncontended stripes do not false-share.
-type collectorShard struct {
 	mu    sync.Mutex
 	flows map[flowKey]*blockstats.FlowStat
 	tasks map[string]*TaskInfo
-	_     [64 - 8 - 2*8]byte
-}
-
-// fnv1aOffset and fnv1aPrime are the 64-bit FNV-1a constants.
-const (
-	fnv1aOffset = 14695981039346656037
-	fnv1aPrime  = 1099511628211
-)
-
-// hashTask hashes a task name for task-shard selection.
-func hashTask(task string) uint64 {
-	h := uint64(fnv1aOffset)
-	for i := 0; i < len(task); i++ {
-		h = (h ^ uint64(task[i])) * fnv1aPrime
-	}
-	return h
-}
-
-// mix64 is the 64-bit avalanche finalizer (MurmurHash3 fmix64). FNV-1a's low
-// bits barely avalanche, so structured key families ("task-01"/"file-01",
-// "task-02"/"file-02", ...) collide badly under a power-of-two mask; the
-// finalizer spreads every input bit across the shard index.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// hashFlow hashes a task-file pair for flow-shard selection. The NUL fold
-// between the strings keeps ("ab","c") and ("a","bc") distinct without
-// concatenating (no allocation on the record hot path).
-func hashFlow(task, file string) uint64 {
-	h := hashTask(task)
-	h = (h ^ 0) * fnv1aPrime
-	for i := 0; i < len(file); i++ {
-		h = (h ^ uint64(file[i])) * fnv1aPrime
-	}
-	return h
-}
-
-// Collector accumulates one FlowStat per task-file pair plus task lifetimes.
-// It is safe for concurrent use by many tasks: state is striped over
-// numShards independently locked shards keyed by hash(task, file), so
-// unrelated tasks record without contending. Aggregation (Flows, Tasks,
-// SaveJSON) happens only at read time.
-type Collector struct {
-	cfg    blockstats.Config
-	shards [numShards]collectorShard
 }
 
 // NewCollector creates a collector with the given histogram configuration.
@@ -189,12 +152,11 @@ func NewCollector(cfg blockstats.Config) (*Collector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("iotrace: invalid histogram config: %w", err)
 	}
-	c := &Collector{cfg: cfg}
-	for i := range c.shards {
-		c.shards[i].flows = make(map[flowKey]*blockstats.FlowStat)
-		c.shards[i].tasks = make(map[string]*TaskInfo)
-	}
-	return c, nil
+	return &Collector{
+		cfg:   cfg,
+		flows: make(map[flowKey]*blockstats.FlowStat),
+		tasks: make(map[string]*TaskInfo),
+	}, nil
 }
 
 // MustCollector is NewCollector for configurations known valid at the call
@@ -210,68 +172,44 @@ func MustCollector(cfg blockstats.Config) *Collector {
 // Config returns the histogram configuration in use.
 func (c *Collector) Config() blockstats.Config { return c.cfg }
 
-// taskShard returns the shard owning a task's lifetime record.
-func (c *Collector) taskShard(task string) *collectorShard {
-	return &c.shards[mix64(hashTask(task))&(numShards-1)]
-}
-
-// flowShard returns the shard owning a task-file pair's histogram.
-func (c *Collector) flowShard(task, file string) *collectorShard {
-	return &c.shards[mix64(hashFlow(task, file))&(numShards-1)]
-}
-
 // TaskStarted records the start of a task at time t. The first call wins.
 func (c *Collector) TaskStarted(task string, t float64) {
-	sh := c.taskShard(task)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ti := sh.taskLocked(task)
-	if !ti.started || t < ti.Start {
-		ti.Start = t
-		ti.started = true
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.taskLocked(task).started(t)
 }
 
 // TaskEnded records the end of a task at time t. The last call wins.
 func (c *Collector) TaskEnded(task string, t float64) {
-	sh := c.taskShard(task)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ti := sh.taskLocked(task)
-	if !ti.ended || t > ti.End {
-		ti.End = t
-		ti.ended = true
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.taskLocked(task).ended(t)
 }
 
-func (sh *collectorShard) taskLocked(task string) *TaskInfo {
-	ti := sh.tasks[task]
+func (c *Collector) taskLocked(task string) *TaskInfo {
+	ti := c.tasks[task]
 	if ti == nil {
 		ti = &TaskInfo{Name: task}
-		sh.tasks[task] = ti
+		c.tasks[task] = ti
 	}
 	return ti
 }
 
 // Task returns lifetime info for a task, or nil if never seen.
 func (c *Collector) Task(task string) *TaskInfo {
-	sh := c.taskShard(task)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tasks[task]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tasks[task]
 }
 
 // Tasks returns all observed tasks sorted by name.
 func (c *Collector) Tasks() []*TaskInfo {
-	var out []*TaskInfo
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, ti := range sh.tasks {
-			out = append(out, ti)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	out := make([]*TaskInfo, 0, len(c.tasks))
+	for _, ti := range c.tasks {
+		out = append(out, ti)
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -279,31 +217,27 @@ func (c *Collector) Tasks() []*TaskInfo {
 // Flow returns (creating on demand) the histogram for a task-file pair.
 // fileSize seeds the block-size choice; pass 0 when unknown.
 func (c *Collector) Flow(task, file string, fileSize int64) *blockstats.FlowStat {
-	sh := c.flowShard(task, file)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	k := flowKey{task, file}
-	fs := sh.flows[k]
+	fs := c.flows[k]
 	if fs == nil {
 		// The config was validated when the collector was built, so flow
 		// creation on the record path cannot fail.
 		fs = blockstats.FlowStatFor(task, file, fileSize, c.cfg)
-		sh.flows[k] = fs
+		c.flows[k] = fs
 	}
 	return fs
 }
 
 // Flows returns all flow histograms sorted by (task, file).
 func (c *Collector) Flows() []*blockstats.FlowStat {
-	var out []*blockstats.FlowStat
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, fs := range sh.flows {
-			out = append(out, fs)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	out := make([]*blockstats.FlowStat, 0, len(c.flows))
+	for _, fs := range c.flows {
+		out = append(out, fs)
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Task != out[j].Task {
 			return out[i].Task < out[j].Task
@@ -316,71 +250,50 @@ func (c *Collector) Flows() []*blockstats.FlowStat {
 // NumFlows returns the number of task-file pairs observed — the paper's
 // measurement-size metric (total space is proportional to this count).
 func (c *Collector) NumFlows() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.flows)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.flows)
 }
 
 // Merge folds another collector into c — the distributed-measurement path:
 // each node runs its own collector and the per-node task-file histograms
 // merge into the global measurement when the workflow completes (§3). Both
-// collectors must use the same sampling rule.
-//
-// Shard assignment depends only on (task, file), so shard i of other merges
-// wholly into shard i of c: one lock acquisition per shard on each side
-// instead of one per task and per flow, and no sorting. other's shard is
-// snapshotted first and released before c's shard locks, so concurrent
-// cross-merges cannot deadlock; other must not be recording concurrently.
+// collectors must use the same sampling rule. other is snapshotted under its
+// lock and released before c's lock is taken, so concurrent cross-merges
+// cannot deadlock; other must not be recording concurrently.
 func (c *Collector) Merge(other *Collector) error {
-	for i := range other.shards {
-		src := &other.shards[i]
-		src.mu.Lock()
-		tasks := make([]*TaskInfo, 0, len(src.tasks))
-		for _, ti := range src.tasks {
-			tasks = append(tasks, ti)
-		}
-		flows := make([]*blockstats.FlowStat, 0, len(src.flows))
-		for _, fl := range src.flows {
-			flows = append(flows, fl)
-		}
-		src.mu.Unlock()
+	other.mu.Lock()
+	tasks := make([]TaskInfo, 0, len(other.tasks))
+	for _, ti := range other.tasks {
+		tasks = append(tasks, *ti)
+	}
+	flows := make([]*blockstats.FlowStat, 0, len(other.flows))
+	for _, fl := range other.flows {
+		flows = append(flows, fl)
+	}
+	other.mu.Unlock()
 
-		dst := &c.shards[i]
-		dst.mu.Lock()
-		for _, ti := range tasks {
-			di := dst.taskLocked(ti.Name)
-			if ti.started && (!di.started || ti.Start < di.Start) {
-				di.Start = ti.Start
-				di.started = true
-			}
-			if ti.ended && (!di.ended || ti.End > di.End) {
-				di.End = ti.End
-				di.ended = true
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ti := range tasks {
+		di := c.taskLocked(ti.Name)
+		if ti.hasStart {
+			di.started(ti.Start)
 		}
-		for _, fl := range flows {
-			k := flowKey{fl.Task, fl.File}
-			df := dst.flows[k]
-			if df == nil {
-				var err error
-				df, err = blockstats.NewFlowStat(fl.Task, fl.File, fl.FileSize(), c.cfg)
-				if err != nil {
-					dst.mu.Unlock()
-					return fmt.Errorf("iotrace: merging collectors: %w", err)
-				}
-				dst.flows[k] = df
-			}
-			if err := df.Merge(fl); err != nil {
-				dst.mu.Unlock()
-				return fmt.Errorf("iotrace: merging collectors: %w", err)
-			}
+		if ti.hasEnd {
+			di.ended(ti.End)
 		}
-		dst.mu.Unlock()
+	}
+	for _, fl := range flows {
+		k := flowKey{fl.Task, fl.File}
+		df := c.flows[k]
+		if df == nil {
+			df = blockstats.FlowStatFor(fl.Task, fl.File, fl.FileSize(), c.cfg)
+			c.flows[k] = df
+		}
+		if err := df.Merge(fl); err != nil {
+			return fmt.Errorf("iotrace: merging collectors: %w", err)
+		}
 	}
 	return nil
 }
@@ -426,7 +339,7 @@ var ErrBadMode = errors.New("iotrace: operation not permitted by open mode")
 // offset and flags live here, so duplicated handles see each other's seeks.
 //
 // fl caches the task-file FlowStat resolved at open time, so the collector's
-// shard map is hit once per open instead of once per access. The cache is
+// map and lock are hit once per open instead of once per access. The cache is
 // safe because a FlowStat is keyed by (task, file) and mutated only by its
 // owning task (the tracer that opened it); the collector lock protects only
 // map membership, never per-flow state.

@@ -44,10 +44,15 @@ type persistFlow struct {
 	TotalFootprint uint64 `json:"total_footprint"`
 }
 
+// persistTask is one task's lifetime record. A task still running (or whose
+// start was never seen) is flagged, so reloading it keeps lifetime 0; the
+// flags are omitted for completed tasks, which keeps their encoding fixed.
 type persistTask struct {
-	Name  string  `json:"name"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Name       string  `json:"name"`
+	Start      float64 `json:"start"`
+	End        float64 `json:"end"`
+	NotStarted bool    `json:"not_started,omitempty"`
+	NotEnded   bool    `json:"not_ended,omitempty"`
 }
 
 type persistDoc struct {
@@ -67,29 +72,43 @@ func (c *Collector) SaveJSON(w io.Writer) error {
 func (c *Collector) persistDoc() persistDoc {
 	doc := persistDoc{Config: c.Config()}
 	for _, ti := range c.Tasks() {
-		doc.Tasks = append(doc.Tasks, persistTask{Name: ti.Name, Start: ti.Start, End: ti.End})
+		doc.Tasks = append(doc.Tasks, persistTask{Name: ti.Name, Start: ti.Start, End: ti.End,
+			NotStarted: !ti.hasStart, NotEnded: !ti.hasEnd})
 	}
 	for _, fl := range c.Flows() {
-		doc.Flows = append(doc.Flows, persistFlow{
-			Task: fl.Task, File: fl.File,
-			FileSize: fl.FileSize(), BlockSize: fl.BlockSize(),
-			ReadOps: fl.ReadOps, WriteOps: fl.WriteOps,
-			ReadBytes: fl.ReadBytes, WriteBytes: fl.WriteBytes,
-			ReadTime: fl.ReadTime, WriteTime: fl.WriteTime,
-			OpenTime: fl.OpenTime, CloseTime: fl.CloseTime,
-			Opens: fl.Opens, Closes: fl.Closes,
-			DistSum: fl.DistSum, DistN: fl.DistN,
-			ZeroDist: fl.ZeroDist, SmallDist: fl.SmallDist,
-			ReadFootprint:  fl.Footprint(blockstats.Read),
-			WriteFootprint: fl.Footprint(blockstats.Write),
-			TotalFootprint: fl.TotalFootprint(),
-		})
+		pf := record(fl)
+		pf.TotalFootprint = fl.TotalFootprint()
+		doc.Flows = append(doc.Flows, pf)
 	}
 	return doc
 }
 
-// SavedFlow is a loaded task-file record with the derived metrics the graph
-// builder needs.
+// record copies a histogram's aggregates into its serialized form. A
+// direction's footprint is computed only when it has ops; without ops it is
+// exactly 0. TotalFootprint is left to SaveJSON, its only reader.
+func record(fl *blockstats.FlowStat) persistFlow {
+	pf := persistFlow{
+		Task: fl.Task, File: fl.File,
+		FileSize: fl.FileSize(), BlockSize: fl.BlockSize(),
+		ReadOps: fl.ReadOps, WriteOps: fl.WriteOps,
+		ReadBytes: fl.ReadBytes, WriteBytes: fl.WriteBytes,
+		ReadTime: fl.ReadTime, WriteTime: fl.WriteTime,
+		OpenTime: fl.OpenTime, CloseTime: fl.CloseTime,
+		Opens: fl.Opens, Closes: fl.Closes,
+		DistSum: fl.DistSum, DistN: fl.DistN,
+		ZeroDist: fl.ZeroDist, SmallDist: fl.SmallDist,
+	}
+	if fl.ReadOps > 0 {
+		pf.ReadFootprint = fl.Footprint(blockstats.Read)
+	}
+	if fl.WriteOps > 0 {
+		pf.WriteFootprint = fl.Footprint(blockstats.Write)
+	}
+	return pf
+}
+
+// SavedFlow is the per-flow summary the DFL graph builders consume: a loaded
+// task-file record, or a live histogram reduced by Summarize.
 type SavedFlow struct {
 	Task, File            string
 	FileSize              int64
@@ -124,25 +143,37 @@ func docToState(doc persistDoc) *SavedState {
 	st := &SavedState{Config: doc.Config}
 	for _, pt := range doc.Tasks {
 		st.Tasks = append(st.Tasks, TaskInfo{Name: pt.Name, Start: pt.Start, End: pt.End,
-			started: true, ended: true})
+			hasStart: !pt.NotStarted, hasEnd: !pt.NotEnded})
 	}
-	for _, pf := range doc.Flows {
-		sf := SavedFlow{
-			Task: pf.Task, File: pf.File, FileSize: pf.FileSize,
-			ReadOps: pf.ReadOps, WriteOps: pf.WriteOps,
-			ReadBytes: pf.ReadBytes, WriteBytes: pf.WriteBytes,
-			ReadTime: pf.ReadTime, WriteTime: pf.WriteTime,
-			ReadFootprint: pf.ReadFootprint, WriteFootprint: pf.WriteFootprint,
-		}
-		if lt := pf.CloseTime - pf.OpenTime; pf.Opens > 0 && lt > 0 {
-			sf.FileLifetime = lt
-		}
-		if pf.DistN > 0 {
-			sf.MeanDistance = pf.DistSum / float64(pf.DistN)
-			sf.ZeroDistFrac = float64(pf.ZeroDist) / float64(pf.DistN)
-			sf.SmallDistFrac = float64(pf.SmallDist) / float64(pf.DistN)
-		}
-		st.Flows = append(st.Flows, sf)
+	for i := range doc.Flows {
+		st.Flows = append(st.Flows, doc.Flows[i].summary())
 	}
 	return st
+}
+
+// Summarize reduces a live histogram to its SavedFlow: the values a
+// SaveJSON/LoadJSON round trip yields, derived by the same code.
+func Summarize(fl *blockstats.FlowStat) SavedFlow {
+	pf := record(fl)
+	return pf.summary()
+}
+
+// summary derives the graph builders' per-flow metrics from a record.
+func (pf *persistFlow) summary() SavedFlow {
+	sf := SavedFlow{
+		Task: pf.Task, File: pf.File, FileSize: pf.FileSize,
+		ReadOps: pf.ReadOps, WriteOps: pf.WriteOps,
+		ReadBytes: pf.ReadBytes, WriteBytes: pf.WriteBytes,
+		ReadTime: pf.ReadTime, WriteTime: pf.WriteTime,
+		ReadFootprint: pf.ReadFootprint, WriteFootprint: pf.WriteFootprint,
+	}
+	if lt := pf.CloseTime - pf.OpenTime; pf.Opens > 0 && lt > 0 {
+		sf.FileLifetime = lt
+	}
+	if pf.DistN > 0 {
+		sf.MeanDistance = pf.DistSum / float64(pf.DistN)
+		sf.ZeroDistFrac = float64(pf.ZeroDist) / float64(pf.DistN)
+		sf.SmallDistFrac = float64(pf.SmallDist) / float64(pf.DistN)
+	}
+	return sf
 }

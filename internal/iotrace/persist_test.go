@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"datalife/internal/blockstats"
 )
 
 func collectSample(t *testing.T) *Collector {
@@ -86,5 +88,50 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("serialization not deterministic")
+	}
+}
+
+// TestSummarizeDerivedMetrics pins the per-flow metrics the graph builders
+// read: locality fractions, the open-to-close lifetime, footprints only for
+// directions with ops, and zeros (not NaN) for an empty flow. Summarize must
+// also agree with the SaveJSON/LoadJSON round trip.
+func TestSummarizeDerivedMetrics(t *testing.T) {
+	cfg := blockstats.Config{BlocksPerFile: 10, WriteBlockSize: 1}
+	fl := blockstats.FlowStatFor("t", "f", 1000, cfg) // block size 100
+	if sf := Summarize(fl); sf != (SavedFlow{Task: "t", File: "f", FileSize: 1000}) {
+		t.Fatalf("empty flow summary = %+v", sf)
+	}
+	fl.RecordOpen(10)
+	fl.RecordAccess(blockstats.Read, 0, 10, 11, 0)   // first access: no distance
+	fl.RecordAccess(blockstats.Read, 10, 10, 12, 0)  // distance 0
+	fl.RecordAccess(blockstats.Read, 50, 10, 13, 0)  // distance 30 < block
+	fl.RecordAccess(blockstats.Read, 900, 10, 14, 0) // distance 840 >= block
+	fl.RecordClose(25)
+	fl.RecordOpen(30)
+	fl.RecordClose(40)
+	sf := Summarize(fl)
+	if sf.MeanDistance != 290 || sf.ZeroDistFrac != 1.0/3 || sf.SmallDistFrac != 2.0/3 {
+		t.Errorf("distances: mean %v zero %v small %v, want 290, 1/3, 2/3",
+			sf.MeanDistance, sf.ZeroDistFrac, sf.SmallDistFrac)
+	}
+	if sf.FileLifetime != 30 {
+		t.Errorf("FileLifetime = %v, want 30 (first open to last close)", sf.FileLifetime)
+	}
+	if sf.ReadFootprint != 200 || sf.WriteFootprint != 0 {
+		t.Errorf("footprints: read %d write %d, want 200, 0", sf.ReadFootprint, sf.WriteFootprint)
+	}
+
+	col := MustCollector(cfg)
+	*col.Flow("t", "f", 1000) = *fl
+	var buf bytes.Buffer
+	if err := col.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Flows[0] != sf {
+		t.Fatalf("round trip %+v != Summarize %+v", st.Flows[0], sf)
 	}
 }

@@ -2,6 +2,7 @@ package iotrace
 
 import (
 	"fmt"
+	"math"
 
 	"datalife/internal/blockstats"
 )
@@ -72,16 +73,60 @@ type TraceEvent struct {
 	T, Dt float64
 }
 
-// ApplyEvent replays one trace event into the collector, updating task
-// lifecycle or flow histograms exactly as the live measurement shim would.
-// The flow-level calls follow the owner-mutates discipline: callers replaying
-// into a shared collector must serialize events of the same (task, file) flow.
-func (c *Collector) ApplyEvent(ev TraceEvent) error {
+// Limits on a trace event's extents. maxEventExtent keeps every byte offset,
+// and the histogram's block-size doubling above it, below 2^63; maxEventOps
+// bounds the accesses one chunk batch charges, which the collector folds in
+// time proportional to that count.
+const (
+	maxEventExtent = 1 << 62
+	maxEventOps    = 1 << 24
+)
+
+// Validate checks an event from outside the process before it reaches a
+// collector: a known kind naming its task (and, except for task start/end,
+// its file), non-negative extents that stay within maxEventExtent, at most
+// maxEventOps accesses per chunk batch, and finite times.
+func (ev TraceEvent) Validate() error {
 	if ev.Kind >= numEventKinds {
 		return fmt.Errorf("iotrace: unknown trace event kind %d", uint8(ev.Kind))
 	}
 	if ev.Task == "" {
 		return fmt.Errorf("iotrace: %s event without a task", ev.Kind)
+	}
+	if ev.File == "" && ev.Kind != EvTaskStart && ev.Kind != EvTaskEnd {
+		return fmt.Errorf("iotrace: %s event without a file", ev.Kind)
+	}
+	if ev.FileSize < 0 || ev.Off < 0 || ev.Len < 0 || ev.Chunk < 0 {
+		return fmt.Errorf("iotrace: %s event with a negative extent (size=%d off=%d len=%d chunk=%d)",
+			ev.Kind, ev.FileSize, ev.Off, ev.Len, ev.Chunk)
+	}
+	if ev.FileSize > maxEventExtent || ev.Off > maxEventExtent-ev.Len {
+		return fmt.Errorf("iotrace: %s event beyond the %d-byte extent limit", ev.Kind, int64(maxEventExtent))
+	}
+	if ev.Kind == EvReadChunks || ev.Kind == EvWriteChunks {
+		chunks := int64(1)
+		if ev.Chunk > 0 && ev.Len > ev.Chunk {
+			chunks = (ev.Len + ev.Chunk - 1) / ev.Chunk
+		}
+		if rep := int64(max(ev.Rep, 1)); chunks > maxEventOps/rep {
+			return fmt.Errorf("iotrace: %s event charges %d chunks × %d repeats, limit %d",
+				ev.Kind, chunks, rep, maxEventOps)
+		}
+	}
+	if math.IsInf(ev.T, 0) || math.IsNaN(ev.T) || math.IsInf(ev.Dt, 0) || math.IsNaN(ev.Dt) {
+		return fmt.Errorf("iotrace: %s event with a non-finite time (t=%v dt=%v)", ev.Kind, ev.T, ev.Dt)
+	}
+	return nil
+}
+
+// ApplyEvent validates one trace event and replays it into the collector,
+// updating task lifecycle or flow histograms exactly as the live measurement
+// shim would. The flow-level calls follow the owner-mutates discipline:
+// callers replaying into a shared collector must serialize events of the same
+// (task, file) flow.
+func (c *Collector) ApplyEvent(ev TraceEvent) error {
+	if err := ev.Validate(); err != nil {
+		return err
 	}
 	switch ev.Kind {
 	case EvTaskStart:
@@ -90,9 +135,6 @@ func (c *Collector) ApplyEvent(ev TraceEvent) error {
 	case EvTaskEnd:
 		c.TaskEnded(ev.Task, ev.T)
 		return nil
-	}
-	if ev.File == "" {
-		return fmt.Errorf("iotrace: %s event without a file", ev.Kind)
 	}
 	fl := c.Flow(ev.Task, ev.File, ev.FileSize)
 	switch ev.Kind {

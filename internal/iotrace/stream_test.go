@@ -235,7 +235,7 @@ func TestStreamSpatialLocalityVisible(t *testing.T) {
 	}
 	s.Close()
 	fl := e.col.Flow("w", "f", 0)
-	if zf := fl.ZeroDistanceFraction(); zf < 0.9 {
+	if zf := Summarize(fl).ZeroDistFrac; zf < 0.9 {
 		t.Fatalf("zero-distance fraction = %v, want ~1 (sequential)", zf)
 	}
 }

@@ -196,9 +196,14 @@ func (c *Client) Send(events []iotrace.TraceEvent) error {
 			lastErr = fmt.Errorf("serve: short ack at %d, want %d", m.Durable, end)
 		case rejectMsg:
 			lastErr = rejectError(c.cfg.Session, m)
-			if m.Kind == KindOverloaded {
+			switch m.Kind {
+			case KindOverloaded:
 				// Connection stays usable; back off and resend.
 				continue
+			case KindRejected:
+				// The batch holds an invalid event and was not journaled;
+				// the connection stays usable for the next batch.
+				return lastErr
 			}
 			c.dropConn()
 			if !m.Retryable {

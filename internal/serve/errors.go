@@ -24,7 +24,9 @@ type SessionKind uint8
 const (
 	// KindRejected is an admission failure: the session table is full, the
 	// session name is already attached to a live connection, or the name is
-	// malformed. Not retryable when malformed; capacity rejections are.
+	// malformed. Not retryable when malformed; capacity rejections are. An
+	// event batch holding an invalid event is rejected the same way, before
+	// it is journaled, and is not retryable.
 	KindRejected SessionKind = iota
 	// KindOverloaded is ingest backpressure: the session's bounded queue
 	// stayed full past the enqueue deadline, or the journal could not accept

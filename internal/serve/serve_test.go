@@ -592,3 +592,53 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestHostileBatchRejectedBeforeJournal sends a batch whose last event has a
+// negative offset. The server must refuse the whole batch with a typed,
+// non-retryable rejection before journaling it, then keep serving: a valid
+// batch is acknowledged, a summary answers, and a restart replays cleanly.
+func TestHostileBatchRejectedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startServer(t, Config{Dir: dir})
+	c, err := Dial(testClientConfig(addr, "hostile"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	hostile := append(ChainEvents(1), iotrace.TraceEvent{
+		Kind: iotrace.EvRead, Task: "t0", File: "d0", Off: -(1 << 30), Len: 4096})
+	err = c.Send(hostile)
+	var se *SessionError
+	if !errors.Is(err, ErrRejected) || !errors.As(err, &se) || se.Kind.Retryable() {
+		t.Fatalf("hostile batch: got %v, want a non-retryable %v", err, ErrRejected)
+	}
+	if c.NextSeq() != 0 {
+		t.Fatalf("rejected batch advanced the stream to %d", c.NextSeq())
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "hostile.journal")); err != nil || fi.Size() != 0 {
+		t.Fatalf("rejected batch reached the journal: %v, %v", fi, err)
+	}
+
+	events := ChainEvents(3)
+	if err := c.Send(events); err != nil {
+		t.Fatalf("valid batch after rejection: %v", err)
+	}
+	before, err := c.Query("summary", 5, uint64(len(events)))
+	if err != nil || before.Stale {
+		t.Fatalf("summary after rejection: %+v, %v", before, err)
+	}
+	c.Close()
+	srv.Close()
+
+	_, addr = startServer(t, Config{Dir: dir})
+	c2, err := Dial(testClientConfig(addr, "hostile"))
+	if err != nil {
+		t.Fatalf("redial: %v", err)
+	}
+	defer c2.Close()
+	after, err := c2.Query("summary", 5, uint64(len(events)))
+	if err != nil || after.Body != before.Body {
+		t.Fatalf("summary after restart: %q, %v; want %q", after.Body, err, before.Body)
+	}
+}

@@ -333,7 +333,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // ingest runs one batch through the durability pipeline:
 //
-//	dedup suffix → reserve queue slot → journal append + fsync → advance
+//	validate → dedup suffix → reserve queue slot → journal append + fsync → advance
 //	nextSeq → enqueue (guaranteed room) → ack
 //
 // The order is the crash-consistency contract: nothing is acknowledged before
@@ -342,6 +342,16 @@ func (s *Server) handle(conn net.Conn) {
 // double-applied. Returns ok=false when the connection must drop (the session
 // may have been evicted).
 func (s *Server) ingest(conn net.Conn, sess *session, m eventsMsg) (ok bool, err error) {
+	// A batch with an invalid event is refused whole, before anything is
+	// journaled: a journaled event replays on every restart. Resending the
+	// same batch cannot succeed, so the rejection is not retryable.
+	for i, ev := range m.Events {
+		if err := ev.Validate(); err != nil {
+			return true, writeFrame(conn, encodeReject(rejectMsg{
+				Kind: KindRejected, Seq: sess.nextSeq,
+				Detail: fmt.Sprintf("event %d: %v", m.FirstSeq+uint64(i), err)}))
+		}
+	}
 	end := m.FirstSeq + uint64(len(m.Events))
 	switch {
 	case m.FirstSeq > sess.nextSeq:

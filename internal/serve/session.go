@@ -148,9 +148,9 @@ func (s *session) recover() error {
 // replay (single-threaded) and by the applier (under mu).
 func (s *session) applyBatch(batch eventsMsg) {
 	for _, ev := range batch.Events {
-		// Events were validated on decode; application errors (unknown kind,
-		// missing names) cannot corrupt state, so a bad journaled event is
-		// skipped rather than poisoning replay.
+		// Ingest validates events before journaling them, and ApplyEvent
+		// validates again without touching state, so a bad event in an older
+		// journal is skipped rather than poisoning replay.
 		if err := s.col.ApplyEvent(ev); err != nil {
 			continue
 		}
@@ -247,77 +247,43 @@ func (s *session) syncGraphLocked() {
 	s.syncedSeq = s.appliedSeq
 }
 
-// syncFlow refreshes the producer/consumer edges of one (task, file) flow,
-// mirroring dfl.Build's addFlow property derivation exactly.
+// syncFlow refreshes the producer/consumer edges of one (task, file) flow
+// through dfl.FlowEdge, the derivation dfl.Build uses.
 func (s *session) syncFlow(task, file string) {
-	fl := s.col.Flow(task, file, 0)
-	tid, did := dfl.TaskID(task), dfl.DataID(file)
+	sf := iotrace.Summarize(s.col.Flow(task, file, 0))
 	s.g.AddTask(task)
 	s.g.AddData(file)
-	if fl.ReadOps > 0 {
-		p := dfl.FlowProps{
-			Ops:           fl.ReadOps,
-			Volume:        fl.ReadBytes,
-			Footprint:     fl.Footprint(blockstats.Read),
-			Latency:       fl.ReadTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		}
-		if !s.g.SetEdgeProps(did, tid, p) {
+	for _, kind := range [...]dfl.EdgeKind{dfl.Consumer, dfl.Producer} {
+		if src, dst, p, ok := dfl.FlowEdge(&sf, kind); ok && !s.g.SetEdgeProps(src, dst, p) {
 			// Direction is correct by construction; AddEdge cannot fail.
-			_, _ = s.g.AddEdge(did, tid, dfl.Consumer, p)
-		}
-	}
-	if fl.WriteOps > 0 {
-		p := dfl.FlowProps{
-			Ops:           fl.WriteOps,
-			Volume:        fl.WriteBytes,
-			Footprint:     fl.Footprint(blockstats.Write),
-			Latency:       fl.WriteTime,
-			MeanDistance:  fl.MeanDistance(),
-			ZeroDistFrac:  fl.ZeroDistanceFraction(),
-			SmallDistFrac: fl.SmallDistanceFraction(),
-		}
-		if !s.g.SetEdgeProps(tid, did, p) {
-			_, _ = s.g.AddEdge(tid, did, dfl.Producer, p)
+			_, _ = s.g.AddEdge(src, dst, kind, p)
 		}
 	}
 }
 
 // syncTask recomputes one task vertex's properties from scratch: lifetime
-// from the collector's task info plus per-flow aggregate sums, matching the
-// accumulation dfl.Build performs.
+// from the collector's task info plus its flows folded in (task, file) order,
+// the accumulation dfl.Build performs.
 func (s *session) syncTask(task string) {
 	var p dfl.TaskProps
 	if ti := s.col.Task(task); ti != nil {
 		p.Lifetime = ti.Lifetime()
 	}
 	for _, file := range sortedKeys(s.taskFiles[task]) {
-		fl := s.col.Flow(task, file, 0)
-		p.ReadOps += fl.ReadOps
-		p.WriteOps += fl.WriteOps
-		p.InVolume += fl.ReadBytes
-		p.OutVolume += fl.WriteBytes
-		p.ReadLatency += fl.ReadTime
-		p.WriteLatency += fl.WriteTime
+		sf := iotrace.Summarize(s.col.Flow(task, file, 0))
+		p.AddFlow(&sf)
 	}
 	s.g.AddTask(task)
 	s.g.SetTaskProps(task, p)
 }
 
-// syncFile recomputes one data vertex's properties: size and lifetime are
-// maxima over the flows touching the file, as in dfl.Build.
+// syncFile recomputes one data vertex's properties from the flows touching
+// the file, as dfl.Build does.
 func (s *session) syncFile(file string) {
 	var p dfl.DataProps
 	for _, task := range sortedKeys(s.fileTasks[file]) {
-		fl := s.col.Flow(task, file, 0)
-		if sz := fl.FileSize(); sz > p.Size {
-			p.Size = sz
-		}
-		if lt := fl.FileLifetime(); lt > p.Lifetime {
-			p.Lifetime = lt
-		}
+		sf := iotrace.Summarize(s.col.Flow(task, file, 0))
+		p.AddFlow(&sf)
 	}
 	s.g.AddData(file)
 	s.g.SetDataProps(file, p)

@@ -292,7 +292,7 @@ func TestCollectorIntegration(t *testing.T) {
 		t.Fatalf("read ops = %d, want 30", rf.ReadOps)
 	}
 	// Reuse factor ~3 from the three epochs.
-	if rfac := rf.ReuseFactor(blockstats.Read); rfac < 2.5 || rfac > 3.5 {
+	if rfac := float64(rf.ReadBytes) / float64(rf.Footprint(blockstats.Read)); rfac < 2.5 || rfac > 3.5 {
 		t.Fatalf("reuse = %v", rfac)
 	}
 	wt := col.Task("w")
